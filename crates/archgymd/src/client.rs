@@ -60,14 +60,20 @@ impl Client {
             .ok_or_else(|| bad(format!("cannot resolve {addr}: no addresses")))?;
         let writer = TcpStream::connect_timeout(&resolved, options.connect_timeout)
             .map_err(|e| bad(format!("cannot reach archgymd at {addr}: {e}")))?;
+        // Frames are small and each is one write: with Nagle on, a frame
+        // sent while the previous one is still unacknowledged would wait
+        // out the peer's delayed ACK (~40 ms).
+        writer.set_nodelay(true)?;
         writer.set_read_timeout(options.read_timeout)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { reader, writer })
     }
 
-    /// Send one request frame.
+    /// Send one request frame, newline included, in a single write.
     pub fn send(&mut self, request: &Request) -> Result<()> {
-        writeln!(self.writer, "{}", request.to_line())?;
+        let mut frame = request.to_line();
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes())?;
         Ok(())
     }
 
@@ -296,5 +302,31 @@ mod tests {
         let spread: std::collections::HashSet<u64> =
             (0..32).map(|seed| backoff_ms(seed, 5, 50, 2_000)).collect();
         assert!(spread.len() > 16, "jitter actually jitters: {spread:?}");
+    }
+
+    #[test]
+    fn a_request_frame_arrives_in_one_read() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (reads, received) = std::sync::mpsc::channel();
+        // The server is already blocked in `read` whenever a frame is
+        // sent, so over 1000 frames one split across two writes shows up
+        // as a short read.
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 256];
+            while let Ok(n @ 1..) = stream.read(&mut buf) {
+                reads.send(buf[..n].to_vec()).unwrap();
+            }
+        });
+        let mut client = Client::connect(&addr).unwrap();
+        assert!(client.writer.nodelay().unwrap(), "connect disables Nagle");
+        for request in [Request::Ping, Request::List].iter().cycle().take(1000) {
+            client.send(request).unwrap();
+            let frame = format!("{}\n", request.to_line());
+            assert_eq!(received.recv().unwrap(), frame.as_bytes());
+        }
+        drop(client);
+        server.join().unwrap();
     }
 }

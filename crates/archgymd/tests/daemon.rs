@@ -50,13 +50,31 @@ impl Daemon {
 
     fn stop(&mut self) {
         if let Some(thread) = self.thread.take() {
-            let _ = request_one(
-                &self.addr,
-                &Request::Shutdown {
-                    drain: false,
-                    deadline_ms: 0,
-                },
-            );
+            // A handler frees its connection slot only after its client
+            // hangs up, so a daemon at its connection cap may still
+            // refuse the shutdown as busy right after a request; retry
+            // until it is taken.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            loop {
+                let reply = request_one(
+                    &self.addr,
+                    &Request::Shutdown {
+                        drain: false,
+                        deadline_ms: 0,
+                    },
+                );
+                let busy = matches!(
+                    reply,
+                    Ok(Response::Error {
+                        code: ErrorCode::Busy,
+                        ..
+                    })
+                );
+                if !busy || std::time::Instant::now() >= deadline {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
             thread.join().expect("daemon thread");
         }
     }

@@ -261,8 +261,8 @@ fn bucket_of(ns: u64) -> usize {
     (u64::BITS - ns.leading_zeros()) as usize
 }
 
-/// The largest value bucket `i` can hold — what percentiles report
-/// (a conservative upper bound, never an underestimate).
+/// The largest value bucket `i` can hold — what percentiles report,
+/// clamped to the observed maximum (never an underestimate).
 fn bucket_upper_bound(bucket: usize) -> u64 {
     match bucket {
         0 => 0,
@@ -273,7 +273,8 @@ fn bucket_upper_bound(bucket: usize) -> u64 {
 
 /// A fixed log-bucket latency histogram. Lock-free, zero allocation
 /// per sample; percentiles resolve to the upper bound of the smallest
-/// bucket whose cumulative count reaches `ceil(q * total)`.
+/// bucket whose cumulative count reaches `ceil(q * total)`, clamped to
+/// the largest sample recorded.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -316,8 +317,8 @@ impl Histogram {
         self.max_ns.load(Ordering::Relaxed)
     }
 
-    /// The `q`-quantile (`0.0 ..= 1.0`) as a bucket upper bound; `0`
-    /// when empty.
+    /// The `q`-quantile (`0.0 ..= 1.0`) as a bucket upper bound, never
+    /// above [`Histogram::max_ns`]; `0` when empty.
     pub fn percentile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
@@ -328,10 +329,10 @@ impl Histogram {
         for (i, bucket) in self.buckets.iter().enumerate() {
             cumulative += bucket.load(Ordering::Relaxed);
             if cumulative >= rank {
-                return bucket_upper_bound(i);
+                return bucket_upper_bound(i).min(self.max_ns());
             }
         }
-        bucket_upper_bound(BUCKETS - 1)
+        self.max_ns()
     }
 
     /// Summarize for a [`RunReport`].
@@ -792,14 +793,14 @@ mod tests {
         assert_eq!(h.count(), 100);
         assert_eq!(h.percentile(0.50), 1); // bucket 1 upper bound
         assert_eq!(h.percentile(0.90), 1); // rank 90 still in bucket 1
-        assert_eq!(h.percentile(0.95), 2047); // bucket 11 upper bound
-        assert_eq!(h.percentile(1.0), 2047);
+        assert_eq!(h.percentile(0.95), 1500); // bucket 11's bound 2047, clamped to the max
+        assert_eq!(h.percentile(1.0), 1500);
         assert_eq!(h.max_ns(), 1500);
         assert_eq!(h.total_ns(), 90 + 15_000);
         let s = h.summary();
         assert_eq!(
             (s.count, s.p50_ns, s.p95_ns, s.p99_ns),
-            (100, 1, 2047, 2047)
+            (100, 1, 1500, 1500)
         );
     }
 
@@ -811,9 +812,10 @@ mod tests {
         assert_eq!(h.percentile(1.0), 0);
         let h = Histogram::new();
         h.record(700);
-        // 700 lands in bucket 10 → upper bound 1023, at every quantile.
+        // 700 lands in bucket 10, whose upper bound 1023 is clamped to
+        // the sample itself at every quantile.
         for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(h.percentile(q), 1023, "q={q}");
+            assert_eq!(h.percentile(q), 700, "q={q}");
         }
     }
 
@@ -972,8 +974,23 @@ mod tests {
                 prop_assert_eq!(h.count(), samples.len() as u64);
                 let max = *samples.iter().max().unwrap();
                 prop_assert_eq!(h.max_ns(), max);
-                prop_assert!(h.percentile(1.0) >= max);
+                prop_assert_eq!(h.percentile(1.0), max);
                 prop_assert!(h.percentile(0.0) <= h.percentile(1.0));
+            }
+
+            /// No quantile is ever reported above the largest sample.
+            #[test]
+            fn prop_percentiles_never_exceed_the_max(
+                samples in proptest::collection::vec(any::<u64>(), 1..100),
+                q in 0.0f64..1.0,
+            ) {
+                let h = Histogram::new();
+                for &s in &samples {
+                    h.record(s >> (s % 64));
+                }
+                for q in (0..=100).map(|p| f64::from(p) / 100.0).chain([q]) {
+                    prop_assert!(h.percentile(q) <= h.max_ns(), "q={}", q);
+                }
             }
 
             /// Reports round-trip through the hand-rolled codec for

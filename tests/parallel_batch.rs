@@ -96,3 +96,31 @@ fn eval_cache_counters_stay_exact_under_batch_parallelism() {
     assert_eq!(pooled.entries, distinct.len() as u64);
     assert_eq!(pooled.inserts, pooled.misses);
 }
+
+#[test]
+fn pooled_batches_stay_bit_identical_across_200_consecutive_fan_outs() {
+    use archgym_core::pool::{BatchEvaluator, EnvPool};
+    use archgym_core::space::Action;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    // One pool serves every batch, so its parked workers are reused 200
+    // times; batch sizes cycle through 1..=17 so some fan-outs have
+    // fewer items than lanes.
+    let env = DramEnv::new(DramWorkload::Stream, Objective::low_power(1.0));
+    let mut rng = StdRng::seed_from_u64(29);
+    let batches: Vec<Vec<Action>> = (0..200)
+        .map(|i| {
+            (0..1 + i % 17)
+                .map(|_| env.space().sample(&mut rng))
+                .collect()
+        })
+        .collect();
+    let mut serial = env.clone();
+    let expected: Vec<_> = batches.iter().map(|b| serial.eval_batch(b)).collect();
+    for jobs in [1, 2, 3, 4, 16] {
+        let mut pool = EnvPool::new(env.clone(), jobs);
+        for (i, (batch, want)) in batches.iter().zip(&expected).enumerate() {
+            assert_eq!(&pool.eval_batch(batch), want, "jobs={jobs} batch {i}");
+        }
+    }
+}
