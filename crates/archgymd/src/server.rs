@@ -5,7 +5,7 @@
 //! fleet of worker threads. Clients speak the line-delimited JSON
 //! protocol from [`protocol`](crate::protocol); accepted jobs are
 //! persisted *before* they are admitted, and every search runs through
-//! [`SearchLoop::run_resumable_pooled`] with its journal inside the
+//! [`SearchLoop::run_with`] with its journal inside the
 //! state directory — so a daemon killed mid-job (even with SIGKILL)
 //! re-admits the job on restart and the journal replay finishes it
 //! bit-identically to an uninterrupted run.
@@ -45,6 +45,7 @@ use archgym_core::jobs::{
     Admission, JobId, JobKind, JobSpec, JobState, QuotaPolicy, Scheduler, Watchdog,
 };
 use archgym_core::race::{Race, RaceLane};
+use archgym_core::screen::Screener;
 use archgym_core::search::{RunConfig, RunResult, SearchLoop};
 use archgym_core::storeio::{real_io, Durability, StoreIo};
 use archgym_core::sweep::Sweep;
@@ -708,23 +709,15 @@ fn run_one(
         handle,
         build_agent(kind, env.space(), &Default::default(), spec.seed)?,
     );
-    match &spec.proxy {
-        // Screened jobs run through the proxy layer; the screener's
-        // decisions are journaled, so daemon restarts resume them
-        // bit-identically like plain jobs.
-        Some(policy) => {
-            let mut screener = archgym_proxy::OnlineProxy::with_defaults(*policy, spec.seed)?;
-            streaming_driver(inner, spec, handle).run_screened_resumable_pooled(
-                &mut agent,
-                env,
-                &mut screener,
-                journal,
-            )
-        }
-        None => {
-            streaming_driver(inner, spec, handle).run_resumable_pooled(&mut agent, env, journal)
-        }
-    }
+    // Screened jobs run through the proxy layer; the screener's
+    // decisions are journaled, so daemon restarts resume them
+    // bit-identically like plain jobs.
+    let mut screener = spec
+        .proxy
+        .map(|policy| archgym_proxy::OnlineProxy::with_defaults(policy, spec.seed))
+        .transpose()?;
+    let screen = screener.as_mut().map(|s| s as &mut dyn Screener);
+    streaming_driver(inner, spec, handle).run_with(&mut agent, env, screen, Some(&journal))
 }
 
 fn run_search(inner: &Arc<Inner>, handle: &Arc<JobHandle>) -> Result<(Option<f64>, u64)> {

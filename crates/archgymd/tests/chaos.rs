@@ -49,7 +49,7 @@ fn run_with_io(
     SearchLoop::new(RunConfig::with_budget(BUDGET).batch(BATCH))
         .with_journal_io(io)
         .with_durability(durability)
-        .run_resumable_pooled(&mut agent, env, path)
+        .run_with(&mut agent, env, None, Some(path))
 }
 
 fn reference_run(path: &Path) -> RunResult {

@@ -217,11 +217,12 @@ where
     for &seed in seeds {
         let mut agent = build_agent(kind, &space, &HyperMap::new(), seed)?;
         let mut screener = archgym_proxy::OnlineProxy::new(policy, forest, seed)?;
-        let run = SearchLoop::new(config.clone()).run_screened_pooled(
+        let run = SearchLoop::new(config.clone()).run_with(
             &mut agent,
             make_env(),
-            &mut screener,
-        );
+            Some(&mut screener),
+            None,
+        )?;
         screened.push(ProxySeedPoint {
             seed,
             best: run.best_reward,

@@ -8,7 +8,7 @@ use archgym_core::env::Environment;
 use archgym_core::error::{ArchGymError, Result};
 use archgym_core::fault::{FaultPlan, FaultStats, FaultyEnv};
 use archgym_core::race::{lane_journal, Race, RaceLane};
-use archgym_core::screen::ScreenPolicy;
+use archgym_core::screen::{ScreenPolicy, Screener};
 use archgym_core::search::{RetryPolicy, RunConfig, RunResult, SearchLoop};
 use archgym_core::seeded_rng;
 use archgym_core::stats::summarize;
@@ -16,6 +16,7 @@ use archgym_core::telemetry::Recorder;
 use archgym_core::trajectory::Dataset;
 use std::fmt::Write as _;
 use std::fs::File;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// Dispatch a parsed command line.
@@ -312,7 +313,7 @@ fn journal_path(args: &Args) -> Result<Option<String>> {
     let resume = args.bool_or("resume", false)?;
     match args.get("journal") {
         Some(path) => {
-            if !resume && std::path::Path::new(path).exists() {
+            if !resume && Path::new(path).exists() {
                 return Err(ArchGymError::InvalidConfig(format!(
                     "journal `{path}` already exists; pass `--resume true` to \
                      continue it or remove the file to start fresh"
@@ -367,10 +368,9 @@ fn search(args: &Args) -> Result<String> {
     let plan = fault_plan(args, seed)?;
     let journal = journal_path(args)?;
     let telemetry = telemetry_sink(args)?;
-    let mut screener = match screen_policy(args)? {
-        Some(policy) => Some(archgym_proxy::OnlineProxy::with_defaults(policy, seed)?),
-        None => None,
-    };
+    let mut screener = screen_policy(args)?
+        .map(|policy| archgym_proxy::OnlineProxy::with_defaults(policy, seed))
+        .transpose()?;
     let mut agent = build_agent(kind, env.space(), &Default::default(), seed)?;
     let config = RunConfig::with_budget(budget)
         .batch(batch)
@@ -380,30 +380,18 @@ fn search(args: &Args) -> Result<String> {
     if let Some(rec) = &telemetry {
         driver = driver.with_telemetry(rec.clone());
     }
+    let screen = screener.as_mut().map(|s| s as &mut dyn Screener);
+    let journal_file = journal.as_deref().map(Path::new);
     let (result, injected) = match plan {
         Some(plan) => {
             let faulty = FaultyEnv::new(env.clone(), plan);
             // Clones share fault counters, so this handle sees the run's.
             let stats_handle = faulty.clone();
-            let result = match (&journal, screener.as_mut()) {
-                (Some(path), Some(s)) => {
-                    driver.run_screened_resumable_pooled(&mut agent, faulty, s, path)?
-                }
-                (Some(path), None) => driver.run_resumable_pooled(&mut agent, faulty, path)?,
-                (None, Some(s)) => driver.run_screened_pooled(&mut agent, faulty, s),
-                (None, None) => driver.run_pooled(&mut agent, faulty),
-            };
+            let result = driver.run_with(&mut agent, faulty, screen, journal_file)?;
             (result, Some(stats_handle.stats()))
         }
         None => {
-            let result = match (&journal, screener.as_mut()) {
-                (Some(path), Some(s)) => {
-                    driver.run_screened_resumable_pooled(&mut agent, env.clone(), s, path)?
-                }
-                (Some(path), None) => driver.run_resumable_pooled(&mut agent, env.clone(), path)?,
-                (None, Some(s)) => driver.run_screened_pooled(&mut agent, env.clone(), s),
-                (None, None) => driver.run_pooled(&mut agent, env.clone()),
-            };
+            let result = driver.run_with(&mut agent, env.clone(), screen, journal_file)?;
             (result, None)
         }
     };
@@ -671,13 +659,11 @@ fn compare(args: &Args) -> Result<String> {
         }
         // Under `--proxy` every roster entry gets its own fresh screener
         // (same policy, same seed) so the race stays apples-to-apples.
-        let result = match policy {
-            Some(policy) => {
-                let mut screener = archgym_proxy::OnlineProxy::with_defaults(policy, seed)?;
-                driver.run_screened_pooled(&mut agent, env.clone(), &mut screener)
-            }
-            None => driver.run_pooled(&mut agent, env.clone()),
-        };
+        let mut screener = policy
+            .map(|policy| archgym_proxy::OnlineProxy::with_defaults(policy, seed))
+            .transpose()?;
+        let screen = screener.as_mut().map(|s| s as &mut dyn Screener);
+        let result = driver.run_with(&mut agent, env.clone(), screen, None)?;
         if let Some(report) = rec.as_ref().and_then(Recorder::report) {
             reports.push((kind.name().to_owned(), report));
         }

@@ -695,24 +695,16 @@ impl Race {
             .with_telemetry(self.telemetry.clone())
             .with_journal_io(Arc::clone(&self.journal_io))
             .with_durability(self.durability);
-        let env = lane.env.clone();
-        let result = match (&self.journal_prefix, &mut lane.screener) {
-            (Some(prefix), Some(screener)) => driver.run_screened_resumable_pooled(
-                &mut lane.agent,
-                env,
-                &mut **screener,
-                lane_journal(prefix, lane.id, rung),
-            )?,
-            (Some(prefix), None) => driver.run_resumable_pooled(
-                &mut lane.agent,
-                env,
-                lane_journal(prefix, lane.id, rung),
-            )?,
-            (None, Some(screener)) => {
-                driver.run_screened_pooled(&mut lane.agent, env, &mut **screener)
-            }
-            (None, None) => driver.run_pooled(&mut lane.agent, env),
-        };
+        let journal = self
+            .journal_prefix
+            .as_deref()
+            .map(|prefix| lane_journal(prefix, lane.id, rung));
+        let result = driver.run_with(
+            &mut lane.agent,
+            lane.env.clone(),
+            lane.screener.as_deref_mut().map(|s| s as &mut dyn Screener),
+            journal.as_deref(),
+        )?;
         lane.samples_used += result.samples_used;
         if result.samples_used > 0 && result.best_reward > lane.best_reward {
             lane.best_reward = result.best_reward;
@@ -772,12 +764,8 @@ impl Race {
             .with_telemetry(self.telemetry.clone())
             .with_journal_io(Arc::clone(&self.journal_io))
             .with_durability(self.durability);
-        let result = match &self.journal_prefix {
-            Some(prefix) => {
-                driver.run_resumable_pooled(&mut ensemble, env.clone(), ensemble_journal(prefix))?
-            }
-            None => driver.run_pooled(&mut ensemble, env.clone()),
-        };
+        let journal = self.journal_prefix.as_deref().map(ensemble_journal);
+        let result = driver.run_with(&mut ensemble, env.clone(), None, journal.as_deref())?;
         let outcome = EnsembleOutcome {
             members: live.to_vec(),
             weights,

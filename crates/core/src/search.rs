@@ -9,8 +9,8 @@
 //! errors, timeouts, NaN/Inf-corrupted results, worker panics) are
 //! retried per the run's [`RetryPolicy`], and a design point that
 //! exhausts its retries degrades to the paper's infeasible-penalty
-//! semantics instead of aborting the run. [`SearchLoop::run_resumable`]
-//! additionally journals every transition to disk
+//! semantics instead of aborting the run. [`SearchLoop::run_with`]
+//! can additionally journal every transition to disk
 //! ([`RunJournal`](crate::journal::RunJournal)) so a killed run resumes
 //! bit-identically from where it stopped.
 
@@ -98,7 +98,7 @@ pub struct RunConfig {
     /// long runs where only the best design matters.
     pub record: bool,
     /// Worker threads for in-run batch evaluation via
-    /// [`SearchLoop::run_pooled`]: `1` (default) evaluates serially on
+    /// [`SearchLoop::run_with`]: `1` (default) evaluates serially on
     /// the caller's thread, `0` uses every available hardware thread,
     /// `n > 1` fans batches across `n` environment replicas. Results
     /// are bit-identical at any setting.
@@ -327,7 +327,7 @@ impl SearchLoop {
         self
     }
 
-    /// Route the resumable entry points' journal/snapshot file I/O
+    /// Route journaled runs' journal/snapshot file I/O
     /// through `io`, builder-style. The default is the real filesystem;
     /// tests install a [`FaultyIo`](crate::storeio::FaultyIo) here to
     /// exercise crash/corruption paths deterministically.
@@ -373,172 +373,70 @@ impl SearchLoop {
     }
 
     /// Run `agent` against `env`, honoring the config's
-    /// [`jobs`](RunConfig::jobs) knob: `jobs == 1` evaluates serially,
-    /// anything else fans batches across an [`EnvPool`] of cloned
-    /// replicas. Takes the environment by value (the pool needs to own
-    /// its replicas); the report is bit-identical at any job count.
+    /// [`jobs`](RunConfig::jobs) knob: [`SearchLoop::run_with`] with
+    /// neither a screener nor a journal.
     pub fn run_pooled<A, E>(&self, agent: &mut A, env: E) -> RunResult
     where
         A: Agent + ?Sized,
         E: Environment + Clone + Send,
     {
-        if self.config.jobs == 1 {
-            let mut env = env;
-            self.run(agent, &mut env)
-        } else {
-            let mut pool = EnvPool::new(env, self.config.jobs);
-            self.run(agent, &mut pool)
-        }
-    }
-
-    /// Like [`SearchLoop::run`], but journaled to `path` and resumable:
-    /// every proposed batch is logged *before* evaluation and every
-    /// settled result after it, so a crashed or killed run restarts
-    /// from its last completed evaluation instead of from scratch.
-    ///
-    /// If `path` holds a journal from an earlier (interrupted) run of
-    /// the *same* configuration, that prefix is replayed — the agent
-    /// re-proposes deterministically, journaled results are fed back to
-    /// it without touching the simulator, and only the un-journaled
-    /// tail is evaluated live. The final report is bit-identical (best
-    /// action, trajectory, dataset) to an uninterrupted run. A journal
-    /// written by a different env/agent/budget/batch errors rather than
-    /// silently mixing runs.
-    pub fn run_resumable<A, E>(
-        &self,
-        agent: &mut A,
-        eval: &mut E,
-        path: impl AsRef<Path>,
-    ) -> Result<RunResult>
-    where
-        A: Agent + ?Sized,
-        E: BatchEvaluator + ?Sized,
-    {
-        let mut journal = RunJournal::open_with(
-            path,
-            std::sync::Arc::clone(&self.journal_io),
-            self.durability,
-        )?;
-        self.drive(agent, eval, Some(&mut journal), None)
-    }
-
-    /// [`SearchLoop::run_resumable`] with the config's
-    /// [`jobs`](RunConfig::jobs) knob, mirroring
-    /// [`SearchLoop::run_pooled`].
-    pub fn run_resumable_pooled<A, E>(
-        &self,
-        agent: &mut A,
-        env: E,
-        path: impl AsRef<Path>,
-    ) -> Result<RunResult>
-    where
-        A: Agent + ?Sized,
-        E: Environment + Clone + Send,
-    {
-        if self.config.jobs == 1 {
-            let mut env = env;
-            self.run_resumable(agent, &mut env, path)
-        } else {
-            let mut pool = EnvPool::new(env, self.config.jobs);
-            self.run_resumable(agent, &mut pool, path)
-        }
-    }
-
-    /// Like [`SearchLoop::run`], but with an online proxy screen: once
-    /// `screener` has warmed up on the run's own settled samples, each
-    /// proposal batch is over-sampled, ranked through the proxy, and
-    /// only the admitted slice (top-k by predicted reward plus an
-    /// uncertainty exploration slice) reaches the true evaluator. The
-    /// screened run is deterministic per seed and bit-identical across
-    /// serial/pooled evaluation, like every other entry point.
-    pub fn run_screened<A, E>(
-        &self,
-        agent: &mut A,
-        eval: &mut E,
-        screener: &mut dyn Screener,
-    ) -> RunResult
-    where
-        A: Agent + ?Sized,
-        E: BatchEvaluator + ?Sized,
-    {
-        self.drive(agent, eval, None, Some(screener))
+        self.run_with(agent, env, None, None)
             .expect("journal-less runs cannot fail")
     }
 
-    /// [`SearchLoop::run_screened`] with the config's
-    /// [`jobs`](RunConfig::jobs) knob, mirroring
-    /// [`SearchLoop::run_pooled`].
-    pub fn run_screened_pooled<A, E>(
-        &self,
-        agent: &mut A,
-        env: E,
-        screener: &mut dyn Screener,
-    ) -> RunResult
-    where
-        A: Agent + ?Sized,
-        E: Environment + Clone + Send,
-    {
-        if self.config.jobs == 1 {
-            let mut env = env;
-            self.run_screened(agent, &mut env, screener)
-        } else {
-            let mut pool = EnvPool::new(env, self.config.jobs);
-            self.run_screened(agent, &mut pool, screener)
-        }
-    }
-
-    /// [`SearchLoop::run_screened`] journaled to `path` and resumable:
-    /// admission decisions are journaled as `screen` records alongside
-    /// the batches they govern, so a killed screened run resumes
-    /// bit-identically at every crash prefix.
+    /// The general entry point. `jobs == 1` in the config evaluates
+    /// serially on the caller's thread; anything else fans batches
+    /// across an [`EnvPool`] of cloned replicas (the environment is
+    /// taken by value so the pool can own them). The report is
+    /// bit-identical at any job count.
+    ///
+    /// With a `screener`, the run is proxy-screened: once the screener
+    /// has warmed up on the run's own settled samples, each proposal
+    /// batch is over-sampled, ranked through the proxy, and only the
+    /// admitted slice (top-k by predicted reward plus an uncertainty
+    /// exploration slice) reaches the true evaluator.
+    ///
+    /// With a `journal` path, the run is journaled and resumable: every
+    /// proposed batch is logged *before* evaluation, then its screen
+    /// admission decision (if screened), then every settled result. If
+    /// the path holds a journal from an earlier (interrupted) run of the
+    /// *same* configuration, that prefix is replayed — the agent
+    /// re-proposes deterministically, journaled results are fed back to
+    /// it without touching the simulator, and only the un-journaled tail
+    /// is evaluated live — so a killed run resumes bit-identically (best
+    /// action, trajectory, dataset) at every crash prefix.
     ///
     /// # Errors
     ///
-    /// Returns [`ArchGymError::Journal`] on journal I/O failures or
-    /// when the journal belongs to a different run (including a
-    /// different screening decision trace).
-    pub fn run_screened_resumable<A, E>(
-        &self,
-        agent: &mut A,
-        eval: &mut E,
-        screener: &mut dyn Screener,
-        path: impl AsRef<Path>,
-    ) -> Result<RunResult>
-    where
-        A: Agent + ?Sized,
-        E: BatchEvaluator + ?Sized,
-    {
-        let mut journal = RunJournal::open_with(
-            path,
-            std::sync::Arc::clone(&self.journal_io),
-            self.durability,
-        )?;
-        self.drive(agent, eval, Some(&mut journal), Some(screener))
-    }
-
-    /// [`SearchLoop::run_screened_resumable`] with the config's
-    /// [`jobs`](RunConfig::jobs) knob.
-    ///
-    /// # Errors
-    ///
-    /// See [`SearchLoop::run_screened_resumable`].
-    pub fn run_screened_resumable_pooled<A, E>(
+    /// Only journaled runs fail: [`ArchGymError::Journal`] on journal
+    /// I/O failures or when the journal belongs to a different run
+    /// (env, agent, budget, batch, or screening decision trace).
+    pub fn run_with<A, E>(
         &self,
         agent: &mut A,
         env: E,
-        screener: &mut dyn Screener,
-        path: impl AsRef<Path>,
+        screener: Option<&mut dyn Screener>,
+        journal: Option<&Path>,
     ) -> Result<RunResult>
     where
         A: Agent + ?Sized,
         E: Environment + Clone + Send,
     {
+        let mut journal = journal
+            .map(|path| {
+                RunJournal::open_with(
+                    path,
+                    std::sync::Arc::clone(&self.journal_io),
+                    self.durability,
+                )
+            })
+            .transpose()?;
         if self.config.jobs == 1 {
             let mut env = env;
-            self.run_screened_resumable(agent, &mut env, screener, path)
+            self.drive(agent, &mut env, journal.as_mut(), screener)
         } else {
             let mut pool = EnvPool::new(env, self.config.jobs);
-            self.run_screened_resumable(agent, &mut pool, screener, path)
+            self.drive(agent, &mut pool, journal.as_mut(), screener)
         }
     }
 
@@ -659,7 +557,7 @@ impl SearchLoop {
             .collect()
     }
 
-    /// The unified driver behind every entry point: with a journal,
+    /// The driver behind every entry point: with a journal,
     /// previously logged batches are replayed (verifying the agent's
     /// deterministic re-proposals — and any proxy admission decisions —
     /// against the log) before live evaluation continues; with a
@@ -1257,6 +1155,39 @@ mod tests {
             assert_eq!(pooled.reward_history, serial.reward_history, "jobs={jobs}");
             assert_eq!(pooled.dataset.len(), serial.dataset.len(), "jobs={jobs}");
         }
+
+        // Every (screener, journal) combination of `run_with`: pooled
+        // equals serial, and a journaled run equals the unjournaled run
+        // of the same configuration.
+        let run = |screened: bool, journal: Option<&Path>, jobs: usize| {
+            let env = PeakEnv::new(&[16, 16], vec![5, 9]);
+            let mut agent = RandomWalker::new(env.space().clone(), 12);
+            let policy = ScreenPolicy::default().warmup(32).revalidate_every(3);
+            let mut screen = screened.then(|| MockScreen::new(policy));
+            let screen = screen.as_mut().map(|s| s as &mut dyn Screener);
+            let result = SearchLoop::new(RunConfig::with_budget(128).jobs(jobs))
+                .run_with(&mut agent, env, screen, journal)
+                .unwrap();
+            dewalled(result)
+        };
+        for screened in [false, true] {
+            let reference = run(screened, None, 1);
+            assert_eq!(reference.proxy_screened > 0, screened);
+            if !screened {
+                assert_eq!(reference, dewalled(serial.clone()));
+            }
+            for jobs in [1, 4] {
+                let label = format!("screened={screened} jobs={jobs}");
+                assert_eq!(run(screened, None, jobs), reference, "{label}");
+                let path = temp_journal(&format!("combo-{screened}-{jobs}"));
+                assert_eq!(
+                    run(screened, Some(&path), jobs),
+                    reference,
+                    "{label} journaled"
+                );
+                cleanup_journal(&path);
+            }
+        }
     }
 
     // --- proxy screening ---------------------------------------------------
@@ -1326,18 +1257,58 @@ mod tests {
         }
     }
 
+    /// A [`PeakEnv`] whose clones share one step counter, so a test can
+    /// count the simulator queries of a run that owns its environment.
+    #[derive(Clone)]
+    struct SharedCount {
+        inner: PeakEnv,
+        steps: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl SharedCount {
+        fn new(inner: PeakEnv) -> Self {
+            SharedCount {
+                inner,
+                steps: Default::default(),
+            }
+        }
+
+        fn samples(&self) -> u64 {
+            self.steps.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl Environment for SharedCount {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn space(&self) -> &crate::space::ParamSpace {
+            self.inner.space()
+        }
+        fn observation_labels(&self) -> Vec<String> {
+            self.inner.observation_labels()
+        }
+        fn step(&mut self, action: &Action) -> StepResult {
+            self.steps.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.step(action)
+        }
+    }
+
     #[test]
     fn screened_run_respects_budget_and_admits_a_subset() {
-        let mut env = CountingEnv::new(PeakEnv::new(&[16, 16], vec![5, 9]));
+        let env = SharedCount::new(PeakEnv::new(&[16, 16], vec![5, 9]));
+        let counter = env.clone();
         let mut agent = RandomWalker::new(env.space().clone(), 12);
         let mut screen = MockScreen::new(ScreenPolicy::default().warmup(32).revalidate_every(0));
-        let result = SearchLoop::new(RunConfig::with_budget(96).batch(16)).run_screened(
-            &mut agent,
-            &mut env,
-            &mut screen,
-        );
+        let result = SearchLoop::new(RunConfig::with_budget(96).batch(16))
+            .run_with(&mut agent, env, Some(&mut screen), None)
+            .unwrap();
         assert_eq!(result.samples_used, 96, "budget is exact under screening");
-        assert_eq!(env.samples(), 96, "only admitted samples hit the simulator");
+        assert_eq!(
+            counter.samples(),
+            96,
+            "only admitted samples hit the simulator"
+        );
         assert_eq!(result.reward_history.len(), 96);
         assert!(result.proxy_screened > 0, "screening engaged after warmup");
         assert!(
@@ -1353,35 +1324,32 @@ mod tests {
     #[test]
     fn screened_run_is_bit_identical_serial_vs_pooled() {
         let reference = {
-            let mut env = PeakEnv::new(&[16, 16], vec![5, 9]);
+            let env = PeakEnv::new(&[16, 16], vec![5, 9]);
             let mut agent = RandomWalker::new(env.space().clone(), 3);
             let mut screen = MockScreen::new(ScreenPolicy::default().warmup(32));
-            SearchLoop::new(RunConfig::with_budget(80)).run_screened(
-                &mut agent,
-                &mut env,
-                &mut screen,
-            )
+            SearchLoop::new(RunConfig::with_budget(80))
+                .run_with(&mut agent, env, Some(&mut screen), None)
+                .unwrap()
         };
         for jobs in [1, 2, 4] {
             let env = PeakEnv::new(&[16, 16], vec![5, 9]);
             let mut agent = RandomWalker::new(env.space().clone(), 3);
             let mut screen = MockScreen::new(ScreenPolicy::default().warmup(32));
             let pooled = SearchLoop::new(RunConfig::with_budget(80).jobs(jobs))
-                .run_screened_pooled(&mut agent, env, &mut screen);
+                .run_with(&mut agent, env, Some(&mut screen), None)
+                .unwrap();
             assert_eq!(dewalled(pooled), dewalled(reference.clone()), "jobs={jobs}");
         }
     }
 
     #[test]
     fn revalidation_batches_bypass_the_screen_on_schedule() {
-        let mut env = PeakEnv::new(&[16, 16], vec![5, 9]);
+        let env = PeakEnv::new(&[16, 16], vec![5, 9]);
         let mut agent = RandomWalker::new(env.space().clone(), 7);
         let mut screen = MockScreen::new(ScreenPolicy::default().warmup(16).revalidate_every(2));
-        let result = SearchLoop::new(RunConfig::with_budget(200).batch(16)).run_screened(
-            &mut agent,
-            &mut env,
-            &mut screen,
-        );
+        let result = SearchLoop::new(RunConfig::with_budget(200).batch(16))
+            .run_with(&mut agent, env, Some(&mut screen), None)
+            .unwrap();
         assert_eq!(result.samples_used, 200);
         assert!(screen.revalidations > 0, "revalidation cadence must fire");
         // Every second screened batch admits all candidates, so the
@@ -1394,20 +1362,22 @@ mod tests {
         let config = RunConfig::with_budget(120).batch(16);
         let policy = ScreenPolicy::default().warmup(32).revalidate_every(3);
         let reference = {
-            let mut env = PeakEnv::new(&[16, 16], vec![5, 9]);
+            let env = PeakEnv::new(&[16, 16], vec![5, 9]);
             let mut agent = RandomWalker::new(env.space().clone(), 21);
             let mut screen = MockScreen::new(policy);
-            SearchLoop::new(config.clone()).run_screened(&mut agent, &mut env, &mut screen)
+            SearchLoop::new(config.clone())
+                .run_with(&mut agent, env, Some(&mut screen), None)
+                .unwrap()
         };
         assert!(reference.proxy_screened > 0);
 
         let path = temp_journal("screened-resume");
         {
-            let mut env = PeakEnv::new(&[16, 16], vec![5, 9]);
+            let env = PeakEnv::new(&[16, 16], vec![5, 9]);
             let mut agent = RandomWalker::new(env.space().clone(), 21);
             let mut screen = MockScreen::new(policy);
             SearchLoop::new(config.clone())
-                .run_screened_resumable(&mut agent, &mut env, &mut screen, &path)
+                .run_with(&mut agent, env, Some(&mut screen), Some(&path))
                 .unwrap();
         }
         let full = std::fs::read_to_string(&path).unwrap();
@@ -1418,11 +1388,11 @@ mod tests {
             let mut prefix = lines[..keep].join("\n");
             prefix.push('\n');
             std::fs::write(&path, prefix).unwrap();
-            let mut env = PeakEnv::new(&[16, 16], vec![5, 9]);
+            let env = PeakEnv::new(&[16, 16], vec![5, 9]);
             let mut agent = RandomWalker::new(env.space().clone(), 21);
             let mut screen = MockScreen::new(policy);
             let resumed = SearchLoop::new(config.clone())
-                .run_screened_resumable(&mut agent, &mut env, &mut screen, &path)
+                .run_with(&mut agent, env, Some(&mut screen), Some(&path))
                 .unwrap();
             assert_eq!(
                 dewalled(resumed),
@@ -1439,19 +1409,19 @@ mod tests {
         let config = RunConfig::with_budget(96).batch(16);
         let path = temp_journal("screened-mismatch");
         {
-            let mut env = PeakEnv::new(&[16, 16], vec![5, 9]);
+            let env = PeakEnv::new(&[16, 16], vec![5, 9]);
             let mut agent = RandomWalker::new(env.space().clone(), 21);
             let mut screen = MockScreen::new(ScreenPolicy::default().warmup(16));
             SearchLoop::new(config.clone())
-                .run_screened_resumable(&mut agent, &mut env, &mut screen, &path)
+                .run_with(&mut agent, env, Some(&mut screen), Some(&path))
                 .unwrap();
         }
-        let mut env = PeakEnv::new(&[16, 16], vec![5, 9]);
+        let env = PeakEnv::new(&[16, 16], vec![5, 9]);
         let mut agent = RandomWalker::new(env.space().clone(), 21);
         // The oversampled proposals cannot replay under a plain run, so
         // the resume fails loudly instead of silently diverging.
         let err = SearchLoop::new(config)
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, env, None, Some(&path))
             .unwrap_err();
         assert!(err.to_string().contains("diverged"), "{err}");
         cleanup_journal(&path);
@@ -1595,10 +1565,10 @@ mod tests {
             SearchLoop::new(RunConfig::with_budget(50)).run(&mut agent, &mut env)
         };
         let path = temp_journal("fresh");
-        let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
+        let env = PeakEnv::new(&[12, 12], vec![4, 9]);
         let mut agent = RandomWalker::new(env.space().clone(), 5);
         let journaled = SearchLoop::new(RunConfig::with_budget(50))
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, env, None, Some(&path))
             .unwrap();
         assert_eq!(dewalled(journaled), dewalled(plain));
         cleanup_journal(&path);
@@ -1609,18 +1579,19 @@ mod tests {
         let path = temp_journal("replay");
         let config = RunConfig::with_budget(40);
         let first = {
-            let mut env = CountingEnv::new(PeakEnv::new(&[12, 12], vec![4, 9]));
+            let env = SharedCount::new(PeakEnv::new(&[12, 12], vec![4, 9]));
             let mut agent = RandomWalker::new(env.space().clone(), 5);
             SearchLoop::new(config.clone())
-                .run_resumable(&mut agent, &mut env, &path)
+                .run_with(&mut agent, env, None, Some(&path))
                 .unwrap()
         };
-        let mut env = CountingEnv::new(PeakEnv::new(&[12, 12], vec![4, 9]));
+        let env = SharedCount::new(PeakEnv::new(&[12, 12], vec![4, 9]));
+        let counter = env.clone();
         let mut agent = RandomWalker::new(env.space().clone(), 5);
         let replayed = SearchLoop::new(config)
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, env, None, Some(&path))
             .unwrap();
-        assert_eq!(env.samples(), 0, "full replay must not re-evaluate");
+        assert_eq!(counter.samples(), 0, "full replay must not re-evaluate");
         assert_eq!(dewalled(replayed), dewalled(first));
         cleanup_journal(&path);
     }
@@ -1634,10 +1605,10 @@ mod tests {
         };
         let path = temp_journal("interrupt");
         {
-            let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
+            let env = PeakEnv::new(&[12, 12], vec![4, 9]);
             let mut agent = RandomWalker::new(env.space().clone(), 5);
             SearchLoop::new(RunConfig::with_budget(48))
-                .run_resumable(&mut agent, &mut env, &path)
+                .run_with(&mut agent, env, None, Some(&path))
                 .unwrap();
         }
         // Simulate a crash: keep only a prefix of the journal, cutting
@@ -1650,10 +1621,10 @@ mod tests {
         prefix.push_str(&lines[keep][..lines[keep].len() / 2]); // torn write
         std::fs::write(&path, prefix).unwrap();
 
-        let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
+        let env = PeakEnv::new(&[12, 12], vec![4, 9]);
         let mut agent = RandomWalker::new(env.space().clone(), 5);
         let resumed = SearchLoop::new(RunConfig::with_budget(48))
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, env, None, Some(&path))
             .unwrap();
         assert_eq!(dewalled(resumed), dewalled(reference));
         cleanup_journal(&path);
@@ -1663,16 +1634,16 @@ mod tests {
     fn journal_from_a_different_run_is_rejected() {
         let path = temp_journal("mismatch");
         {
-            let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
+            let env = PeakEnv::new(&[12, 12], vec![4, 9]);
             let mut agent = RandomWalker::new(env.space().clone(), 5);
             SearchLoop::new(RunConfig::with_budget(32))
-                .run_resumable(&mut agent, &mut env, &path)
+                .run_with(&mut agent, env, None, Some(&path))
                 .unwrap();
         }
-        let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
+        let env = PeakEnv::new(&[12, 12], vec![4, 9]);
         let mut agent = RandomWalker::new(env.space().clone(), 5);
         let err = SearchLoop::new(RunConfig::with_budget(64))
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, env, None, Some(&path))
             .unwrap_err();
         assert!(matches!(err, ArchGymError::Journal(_)));
         assert!(err.to_string().contains("different run"), "{err}");
@@ -1683,17 +1654,17 @@ mod tests {
     fn diverging_replay_is_detected() {
         let path = temp_journal("diverge");
         {
-            let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
+            let env = PeakEnv::new(&[12, 12], vec![4, 9]);
             let mut agent = RandomWalker::new(env.space().clone(), 5);
             SearchLoop::new(RunConfig::with_budget(32))
-                .run_resumable(&mut agent, &mut env, &path)
+                .run_with(&mut agent, env, None, Some(&path))
                 .unwrap();
         }
         // Same configuration, different agent seed → different proposals.
-        let mut env = PeakEnv::new(&[12, 12], vec![4, 9]);
+        let env = PeakEnv::new(&[12, 12], vec![4, 9]);
         let mut agent = RandomWalker::new(env.space().clone(), 6);
         let err = SearchLoop::new(RunConfig::with_budget(32))
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, env, None, Some(&path))
             .unwrap_err();
         assert!(err.to_string().contains("diverged"), "{err}");
         cleanup_journal(&path);
@@ -1719,10 +1690,10 @@ mod tests {
 
         let path = temp_journal("fault-resume");
         {
-            let mut env = FaultyEnv::new(PeakEnv::new(&[12, 12], vec![4, 9]), plan);
+            let env = FaultyEnv::new(PeakEnv::new(&[12, 12], vec![4, 9]), plan);
             let mut agent = RandomWalker::new(env.space().clone(), 5);
             SearchLoop::new(config.clone())
-                .run_resumable(&mut agent, &mut env, &path)
+                .run_with(&mut agent, env, None, Some(&path))
                 .unwrap();
         }
         let full = std::fs::read_to_string(&path).unwrap();
@@ -1731,10 +1702,10 @@ mod tests {
         prefix.push('\n');
         std::fs::write(&path, prefix).unwrap();
 
-        let mut env = FaultyEnv::new(PeakEnv::new(&[12, 12], vec![4, 9]), plan);
+        let env = FaultyEnv::new(PeakEnv::new(&[12, 12], vec![4, 9]), plan);
         let mut agent = RandomWalker::new(env.space().clone(), 5);
         let resumed = SearchLoop::new(config)
-            .run_resumable(&mut agent, &mut env, &path)
+            .run_with(&mut agent, env, None, Some(&path))
             .unwrap();
         assert_eq!(resumed.best_reward, reference.best_reward);
         assert_eq!(resumed.best_action, reference.best_action);

@@ -266,13 +266,14 @@ impl MemoryController {
     }
 
     /// The engine [`MemoryController::simulate`] dispatches to: the SoA
-    /// engine whenever the configuration shape fits its bitmask limits,
-    /// otherwise the always-capable indexed engine.
+    /// engine whenever the configuration shape fits its bitmask limits
+    /// (every point of the `dram` and `dramx` design spaces does),
+    /// otherwise the always-capable reference engine.
     pub fn default_engine(&self) -> EngineKind {
         if EngineKind::Soa.supports(&self.ctx()) {
             EngineKind::Soa
         } else {
-            EngineKind::Indexed
+            EngineKind::Reference
         }
     }
 
@@ -851,6 +852,53 @@ mod tests {
                     kind.name()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn design_space_corners_dispatch_to_soa() {
+        // The largest shapes any `dram`/`dramx` design point decodes to
+        // (maximum request buffer, maximum channels x ranks), on both the
+        // default DDR3 grade and DDR4's 16 banks, all fit the SoA engine:
+        // no search ever reaches the reference fallback.
+        use crate::env::{decode_config, decode_topology, dram_space, dram_space_extended};
+        use archgym_core::space::Action;
+        for space in [dram_space(), dram_space_extended()] {
+            let lowest = Action::new(vec![0; space.len()]);
+            let highest = Action::new(space.cardinalities().iter().map(|c| c - 1).collect());
+            for action in [lowest, highest] {
+                let config = decode_config(&space, &action);
+                let topology = decode_topology(&space, &action);
+                for timing in [DeviceTiming::ddr3_1600(), DeviceTiming::ddr4_2400()] {
+                    let banks = timing.banks;
+                    let controller = MemoryController::new(config.clone())
+                        .timing(timing)
+                        .topology(topology);
+                    assert_eq!(
+                        controller.default_engine(),
+                        EngineKind::Soa,
+                        "{config:?} on {topology:?} with {banks} banks"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shapes_beyond_soa_fall_back_to_the_reference_engine() {
+        // Hand-built shapes past SoA's limits (33 buffer slots; DDR4's 16
+        // banks x 8 ranks = 128 banks) dispatch to the reference engine,
+        // and asking for SoA explicitly falls back instead of panicking.
+        let tr = trace(DramWorkload::Cloud2, 26);
+        let wide_buffer = MemoryController::new(with(|c| c.request_buffer_size = 33));
+        let many_banks = MemoryController::new(ControllerConfig::default())
+            .timing(DeviceTiming::ddr4_2400())
+            .topology(Topology::new(1, 8));
+        for controller in [wide_buffer, many_banks] {
+            assert_eq!(controller.default_engine(), EngineKind::Reference);
+            let oracle = controller.simulate_linear_scan(&tr);
+            assert_eq!(controller.simulate(&tr), oracle);
+            assert_eq!(controller.simulate_with(EngineKind::Soa, &tr), oracle);
         }
     }
 

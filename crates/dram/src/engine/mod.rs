@@ -2,27 +2,26 @@
 //!
 //! The memory controller's transaction-level simulation is the hottest
 //! path in the repository — every search, sweep, compare and daemon job
-//! bottoms out in it — so it exists in three implementations that must
+//! bottoms out in it — so it exists in two implementations that must
 //! produce **bit-identical** results:
 //!
 //! * [`EngineKind::Reference`] — the naive linear-scan oracle: every
 //!   scheduling decision rescans the flat request buffer. Slow, obviously
-//!   correct, and the baseline every other engine is tested against.
-//! * [`EngineKind::Indexed`] — per-bank indexed queues over a slab with a
-//!   fused visibility/class/arbiter walk (PR 3's engine).
+//!   correct, and the baseline the optimized engine is tested against.
 //! * [`EngineKind::Soa`] — the data-oriented engine: flat
 //!   structure-of-arrays bank state, a pooled bitmask request arena
 //!   scanned with `trailing_zeros`, and a monotone [`EventWheel`] for
 //!   outstanding completions. The default whenever the configuration
 //!   shape allows it (≤ [`soa::MAX_BANKS`] banks, ≤ [`soa::MAX_SLOTS`]
-//!   buffer entries).
+//!   buffer entries) — which every point of the `dram` and `dramx`
+//!   design spaces does. Larger hand-built shapes fall back to the
+//!   reference engine.
 //!
 //! The split mirrors an executor-backend design (one trait, several
 //! increasingly specialized backends), so a SIMD lane or GPU backend is a
 //! later drop-in: implement [`TimingEngine`], add an [`EngineKind`], and
 //! the equivalence suite does the rest.
 
-mod indexed;
 mod reference;
 pub(crate) mod soa;
 mod wheel;
@@ -39,31 +38,28 @@ use crate::trace::MemoryRequest;
 pub enum EngineKind {
     /// Linear-scan oracle (slow, the correctness baseline).
     Reference,
-    /// Per-bank indexed queues over a slab (PR 3).
-    Indexed,
     /// Structure-of-arrays bitmask engine (fastest; shape-limited).
     Soa,
 }
 
 impl EngineKind {
     /// All engines, slowest first.
-    pub const ALL: [EngineKind; 3] = [EngineKind::Reference, EngineKind::Indexed, EngineKind::Soa];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Reference, EngineKind::Soa];
 
     /// Stable display name (used by bench scenario labels).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Reference => "reference",
-            EngineKind::Indexed => "indexed",
             EngineKind::Soa => "soa",
         }
     }
 
     /// Whether this engine supports the given controller shape. The
-    /// dispatcher falls back to [`EngineKind::Indexed`] (always capable)
-    /// when the preferred engine cannot run a configuration.
+    /// dispatcher falls back to [`EngineKind::Reference`] (always
+    /// capable) when the preferred engine cannot run a configuration.
     pub fn supports(self, ctx: &EngineCtx<'_>) -> bool {
         match self {
-            EngineKind::Reference | EngineKind::Indexed => true,
+            EngineKind::Reference => true,
             EngineKind::Soa => {
                 ctx.mapping.banks() <= soa::MAX_BANKS
                     && ctx.config.request_buffer_size <= soa::MAX_SLOTS
@@ -71,18 +67,16 @@ impl EngineKind {
         }
     }
 
-    /// Run this engine over `trace`, falling back to the indexed engine
-    /// when the shape is unsupported (so dispatch is total). The SoA
-    /// arena stores arrival ids as `u32`, so gigantic traces also fall
-    /// back.
+    /// Run this engine over `trace`, falling back to the reference
+    /// engine when the shape is unsupported (so dispatch is total). The
+    /// SoA arena stores arrival ids as `u32`, so gigantic traces also
+    /// fall back.
     pub fn run(self, ctx: &EngineCtx<'_>, trace: &[MemoryRequest]) -> RawRun {
         match self {
-            EngineKind::Reference => reference::run(ctx, trace),
-            EngineKind::Indexed => indexed::run(ctx, trace),
             EngineKind::Soa if self.supports(ctx) && trace.len() <= u32::MAX as usize => {
                 soa::run(ctx, trace)
             }
-            EngineKind::Soa => indexed::run(ctx, trace),
+            EngineKind::Reference | EngineKind::Soa => reference::run(ctx, trace),
         }
     }
 }
@@ -137,27 +131,4 @@ impl TimingEngine for EngineKind {
     fn run(&self, ctx: &EngineCtx<'_>, trace: &[MemoryRequest]) -> RawRun {
         EngineKind::run(*self, ctx, trace)
     }
-}
-
-/// One buffered request, as the scalar (array-of-structs) engines store
-/// it. The SoA engine splits these fields across parallel arrays.
-#[derive(Debug, Clone)]
-pub(crate) struct Pending {
-    pub id: usize,
-    pub row: u64,
-    pub bank: usize,
-    pub is_write: bool,
-}
-
-/// Per-bank timing state for the scalar engines.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Bank {
-    pub open_row: Option<u64>,
-    /// Earliest cycle the bank accepts its next column command.
-    pub ready_at: u64,
-    pub activated_at: u64,
-    /// When the last access's data (plus write recovery) finishes — the
-    /// earliest a precharge may start.
-    pub data_done: u64,
-    pub hit_ewma: f64,
 }

@@ -5,15 +5,38 @@
 //! separate passes) and outstanding completions live in a plain binary
 //! heap. Deliberately naive: this engine exists to be obviously faithful
 //! to the controller semantics documented in `controller.rs`, so the
-//! optimized engines can be tested bit-for-bit against it. Do not
+//! optimized engine can be tested bit-for-bit against it. Do not
 //! optimize it.
 
-use super::{Bank, EngineCtx, Pending, RawRun};
+use super::{EngineCtx, RawRun};
 use crate::controller::{PagePolicy, RefreshPolicy, Scheduler, SchedulerBuffer};
 use crate::power::OpCounts;
 use crate::trace::MemoryRequest;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// One buffered request. The SoA engine splits these fields across
+/// parallel arrays.
+#[derive(Debug, Clone)]
+struct Pending {
+    id: usize,
+    row: u64,
+    bank: usize,
+    is_write: bool,
+}
+
+/// Per-bank timing state.
+#[derive(Debug, Clone, Default)]
+struct Bank {
+    open_row: Option<u64>,
+    /// Earliest cycle the bank accepts its next column command.
+    ready_at: u64,
+    activated_at: u64,
+    /// When the last access's data (plus write recovery) finishes — the
+    /// earliest a precharge may start.
+    data_done: u64,
+    hit_ewma: f64,
+}
 
 pub(super) fn run(ctx: &EngineCtx<'_>, trace: &[MemoryRequest]) -> RawRun {
     let t = ctx.timing;

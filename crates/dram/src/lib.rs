@@ -14,8 +14,8 @@
 //!   exactly the ten parameters of the paper's Fig. 3(a) — plus the
 //!   channel/rank [`Topology`] axes of the extended space.
 //! * [`engine`] — the pluggable timing engines behind the controller:
-//!   a linear-scan reference oracle, the per-bank indexed engine and the
-//!   data-oriented structure-of-arrays engine, all bit-identical.
+//!   a linear-scan reference oracle and the data-oriented
+//!   structure-of-arrays engine, bit-identical to each other.
 //! * [`power`] — activate/read/write/refresh energy and background power
 //!   accounting.
 //! * [`mod@env`] — [`DramEnv`], the ArchGym [`Environment`] exposing

@@ -9,6 +9,7 @@ use archgym_core::fault::{FaultPlan, FaultyEnv};
 use archgym_core::journal::RunJournal;
 use archgym_core::search::{RetryPolicy, RunConfig, RunResult, SearchLoop};
 use archgym_core::space::ParamSpace;
+use archgym_core::telemetry::{Counter, Phase, Recorder};
 use archgym_dram::{DramEnv, DramWorkload, Objective};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -63,7 +64,7 @@ fn resuming_from_every_crash_prefix_is_bit_identical() {
     let env = dram();
     let mut reference_agent = agent(env.space());
     let reference = SearchLoop::new(config(budget))
-        .run_resumable(&mut *reference_agent, &mut dram(), &path)
+        .run_with(&mut *reference_agent, dram(), None, Some(&path))
         .unwrap();
     let full = fs::read_to_string(&path).unwrap();
     let lines: Vec<&str> = full.lines().collect();
@@ -79,7 +80,7 @@ fn resuming_from_every_crash_prefix_is_bit_identical() {
         fs::write(&partial, lines[..cut].join("\n") + "\n").unwrap();
         let mut resumed_agent = agent(env.space());
         let resumed = SearchLoop::new(config(budget))
-            .run_resumable(&mut *resumed_agent, &mut dram(), &partial)
+            .run_with(&mut *resumed_agent, dram(), None, Some(&partial))
             .unwrap();
         assert_identical(&reference, &resumed, &format!("cut after line {cut}"));
         cleanup(&partial);
@@ -94,7 +95,7 @@ fn resuming_a_mid_line_truncation_is_bit_identical() {
     let env = dram();
     let mut reference_agent = agent(env.space());
     let reference = SearchLoop::new(config(budget))
-        .run_resumable(&mut *reference_agent, &mut dram(), &path)
+        .run_with(&mut *reference_agent, dram(), None, Some(&path))
         .unwrap();
     let full = fs::read(&path).unwrap();
 
@@ -104,7 +105,7 @@ fn resuming_a_mid_line_truncation_is_bit_identical() {
         fs::write(&partial, &full[..cut]).unwrap();
         let mut resumed_agent = agent(env.space());
         let resumed = SearchLoop::new(config(budget))
-            .run_resumable(&mut *resumed_agent, &mut dram(), &partial)
+            .run_with(&mut *resumed_agent, dram(), None, Some(&partial))
             .unwrap();
         assert_identical(&reference, &resumed, &format!("torn at byte {cut}"));
         cleanup(&partial);
@@ -125,7 +126,7 @@ fn resume_survives_injected_faults() {
     let env = FaultyEnv::new(dram(), plan);
     let mut reference_agent = agent(env.space());
     let reference = SearchLoop::new(config(budget))
-        .run_resumable(&mut *reference_agent, &mut env.clone(), &path)
+        .run_with(&mut *reference_agent, env.clone(), None, Some(&path))
         .unwrap();
     assert!(reference.eval_failures > 0, "faults must fire");
     assert_eq!(reference.degraded_samples, 0, "scenario must not degrade");
@@ -137,9 +138,9 @@ fn resume_survives_injected_faults() {
         let partial = fresh_path("faulty-prefix.jsonl");
         fs::write(&partial, lines[..cut].join("\n") + "\n").unwrap();
         let mut resumed_agent = agent(env.space());
-        let mut resumed_env = FaultyEnv::new(dram(), plan);
+        let resumed_env = FaultyEnv::new(dram(), plan);
         let resumed = SearchLoop::new(config(budget))
-            .run_resumable(&mut *resumed_agent, &mut resumed_env, &partial)
+            .run_with(&mut *resumed_agent, resumed_env, None, Some(&partial))
             .unwrap();
         assert_identical(&reference, &resumed, &format!("faulty cut at {cut}"));
         cleanup(&partial);
@@ -153,12 +154,12 @@ fn a_journal_from_a_different_run_is_rejected() {
     let env = dram();
     let mut a = agent(env.space());
     SearchLoop::new(config(32))
-        .run_resumable(&mut *a, &mut dram(), &path)
+        .run_with(&mut *a, dram(), None, Some(&path))
         .unwrap();
     // Same journal, different budget: refuse rather than silently mix.
     let mut b = agent(env.space());
     let err = SearchLoop::new(config(64))
-        .run_resumable(&mut *b, &mut dram(), &path)
+        .run_with(&mut *b, dram(), None, Some(&path))
         .unwrap_err();
     assert!(
         err.to_string().contains("different run"),
@@ -174,15 +175,32 @@ fn a_finished_journal_replays_without_re_evaluating() {
     let env = dram();
     let mut a = agent(env.space());
     let reference = SearchLoop::new(config(budget))
-        .run_resumable(&mut *a, &mut dram(), &path)
+        .run_with(&mut *a, dram(), None, Some(&path))
         .unwrap();
-    // Replaying the complete journal touches the simulator zero times.
+    // Replaying the complete journal touches the simulator zero times:
+    // the DRAM environment records a `simulate` span and its scheduling
+    // decisions for every step it runs.
     let mut b = agent(env.space());
-    let mut counter = archgym_core::env::CountingEnv::new(dram());
+    let rec = Recorder::new();
     let replayed = SearchLoop::new(config(budget))
-        .run_resumable(&mut *b, &mut counter, &path)
+        .with_telemetry(rec.clone())
+        .run_with(&mut *b, dram(), None, Some(&path))
         .unwrap();
     assert_identical(&reference, &replayed, "full replay");
-    assert_eq!(counter.samples(), 0, "replay must not re-evaluate");
+    let report = rec.report().expect("live recorder yields a report");
+    assert!(
+        !report.phases.contains_key(Phase::Simulate.name()),
+        "replay must not re-evaluate: {report:?}"
+    );
+    assert_eq!(
+        rec.get(Counter::DramDecisions),
+        0,
+        "replay must not re-evaluate"
+    );
+    assert_eq!(
+        rec.get(Counter::SamplesSettled),
+        0,
+        "replay must not re-evaluate"
+    );
     cleanup(&path);
 }

@@ -103,11 +103,9 @@ fn screened_dram_run(jobs: usize) -> RunResult {
     let mut agent = build_agent(AgentKind::Ga, env.space(), &Default::default(), 7).unwrap();
     let policy = ScreenPolicy::default().warmup(32).revalidate_every(4);
     let mut screener = OnlineProxy::with_defaults(policy, 7).unwrap();
-    SearchLoop::new(RunConfig::with_budget(128).jobs(jobs)).run_screened_pooled(
-        &mut *agent,
-        env,
-        &mut screener,
-    )
+    SearchLoop::new(RunConfig::with_budget(128).jobs(jobs))
+        .run_with(&mut *agent, env, Some(&mut screener), None)
+        .unwrap()
 }
 
 #[test]
@@ -133,7 +131,7 @@ fn screened_resumable_run(path: &Path) -> RunResult {
     let policy = ScreenPolicy::default().warmup(24).revalidate_every(3);
     let mut screener = OnlineProxy::with_defaults(policy, 9).unwrap();
     SearchLoop::new(RunConfig::with_budget(96))
-        .run_screened_resumable_pooled(&mut *agent, env, &mut screener, path)
+        .run_with(&mut *agent, env, Some(&mut screener), Some(path))
         .unwrap()
 }
 
@@ -183,7 +181,7 @@ fn screened_journals_refuse_a_proxy_off_resume() {
     let env = DramEnv::new(DramWorkload::Stream, Objective::low_power(1.0));
     let mut agent = build_agent(AgentKind::Ga, env.space(), &Default::default(), 9).unwrap();
     let err = SearchLoop::new(RunConfig::with_budget(96))
-        .run_resumable_pooled(&mut *agent, env, &partial)
+        .run_with(&mut *agent, env, None, Some(&partial))
         .unwrap_err();
     assert!(
         err.to_string().contains("diverged") || err.to_string().contains("screen"),

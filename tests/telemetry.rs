@@ -216,7 +216,7 @@ fn resume_replays_are_split_out_and_never_double_counted() {
             .retry(RetryPolicy::new(3));
         let result = SearchLoop::new(config)
             .with_telemetry(rec.clone())
-            .run_resumable_pooled(agent.as_mut(), env, p)
+            .run_with(agent.as_mut(), env, None, Some(Path::new(p)))
             .unwrap();
         (result, rec.report().unwrap())
     };
